@@ -1,9 +1,9 @@
 """S2T-Clustering — the two-phase pipeline of the paper (§II.A).
 
 Phase 1, NaTS: voting (``core.voting``) then segmentation
-(``core.segmentation``).  Phase 2, SaCO: sub-trajectory assembly
-(``core.subtraj``), sampling (``core.sampling``), greedy clustering with
-outlier isolation (``core.clustering``).
+(``core.segmentation``), which emits the sub-trajectories.  Phase 2,
+SaCO: sampling (``core.sampling``), greedy clustering with outlier
+isolation (``core.clustering``).
 
 :func:`s2t_clustering` orchestrates the phases over a points DataFrame,
 caching and forcing each intermediate so per-phase wall times are real
@@ -21,8 +21,8 @@ from pyspark.sql import functions as F
 
 from repro.core.clustering import OUTLIER, assign_clusters
 from repro.core.sampling import Representative, sample_representatives
-from repro.core.segmentation import segment_trajectories
-from repro.core.subtraj import build_subtrajs, subtrajs_to_pandas
+from repro.core.segmentation import segment_trajectories, subtraj_assignment
+from repro.core.subtraj import subtrajs_to_pandas
 from repro.core.voting import vote_segments
 from repro.mod.model import points_to_segments
 
@@ -65,7 +65,8 @@ class S2TParams:
 
 @dataclass
 class S2TResult:
-    """Outputs of one S2T run (DataFrames are cached and materialised)."""
+    """Outputs of one S2T run (DataFrames are cached and materialised,
+    except ``assignment``, a narrow projection of ``subtrajs``)."""
 
     segments: DataFrame
     voted: DataFrame
@@ -76,7 +77,7 @@ class S2TResult:
     timings: dict[str, float] = field(default_factory=dict)
 
     def unpersist(self) -> None:
-        for df in (self.segments, self.voted, self.assignment, self.subtrajs, self.clusters):
+        for df in (self.segments, self.voted, self.subtrajs, self.clusters):
             try:
                 df.unpersist()
             except Exception:
@@ -101,11 +102,9 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
     timings["voting"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    assignment = segment_trajectories(
+    subtrajs = segment_trajectories(
         voted, min_len=p.min_len, lam=p.lam, max_gap=p.max_gap
     ).cache()
-    assignment.count()
-    subtrajs = build_subtrajs(voted, assignment).cache()
     subtrajs.count()
     timings["segmentation"] = time.perf_counter() - t0
 
@@ -138,7 +137,7 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
     return S2TResult(
         segments=segments,
         voted=voted,
-        assignment=assignment,
+        assignment=subtraj_assignment(subtrajs),
         subtrajs=subtrajs,
         reps=reps,
         clusters=clusters,

@@ -19,17 +19,29 @@ parallel, as the calibration hint prescribes):
    only when the SSE reduction exceeds a BIC-style penalty
    ``lam * sigma2 * log(n)`` (``sigma2`` robustly estimated from first
    differences of the signal).  ``min_len`` forbids slivers.
+3. Each resulting piece's row is assembled from the same sorted frame.
 
-Output: the ``subtrajs`` mapping (traj_id, seg_id -> subtraj_id), with
-sub-trajectory ids 0-based and temporally ordered per trajectory.
+Output: the ``subtrajs`` table (``SUBTRAJ_SCHEMA``), one row per
+(traj_id, subtraj_id) with sub-trajectory ids 0-based and temporally
+ordered per trajectory.  Each row carries its voting summary, its
+polyline as array columns (the representation that SaCO broadcasts as
+representatives or streams through ``mapInPandas`` as candidates), and
+its segment range ``[seg_lo, seg_lo + n_segs)``; :func:`subtraj_assignment`
+expands the ranges to the per-segment (traj_id, seg_id, subtraj_id)
+mapping.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
-_SCHEMA = "traj_id long, seg_id long, subtraj_id long"
+SUBTRAJ_SCHEMA = (
+    "traj_id long, subtraj_id long, t_start double, t_end double, "
+    "seg_lo long, n_segs long, sum_vote double, mean_vote double, "
+    "ts array<double>, xs array<double>, ys array<double>"
+)
 
 
 def _noise_var(v: np.ndarray) -> float:
@@ -96,6 +108,7 @@ def segment_signal(v: np.ndarray, *, min_len: int = 4, lam: float = 3.0) -> np.n
 
 
 def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) -> pd.DataFrame:
+    """One trajectory's voted segments -> one row per sub-trajectory."""
     pdf = pdf.sort_values("seg_id").reset_index(drop=True)
     v = pdf["vote"].to_numpy(dtype=np.float64)
     t1 = pdf["t1"].to_numpy(dtype=np.float64)
@@ -108,15 +121,28 @@ def _segment_one(pdf: pd.DataFrame, min_len: int, lam: float, max_gap: float) ->
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rel = segment_signal(v[lo:hi], min_len=min_len, lam=lam)
         all_splits.extend((rel + lo).tolist())
-    cuts = np.zeros(n, dtype=np.int64)
-    if all_splits:
-        cuts[np.asarray(sorted(set(all_splits)), dtype=np.int64)] = 1
-    sub = np.cumsum(cuts)
+    starts = np.asarray([0, *sorted(set(all_splits))], dtype=np.int64)
+    ends = np.append(starts[1:], n)
+    pieces = list(zip(starts, ends))
+
+    def polylines(c1: str, c2: str) -> list[list[float]]:
+        # a piece's first start point, then the end point of each segment
+        a, b = pdf[c1].to_numpy(), pdf[c2].to_numpy()
+        return [np.concatenate([a[lo:lo + 1], b[lo:hi]]).tolist() for lo, hi in pieces]
+
     return pd.DataFrame(
         {
-            "traj_id": pdf["traj_id"].to_numpy(dtype=np.int64),
-            "seg_id": pdf["seg_id"].to_numpy(dtype=np.int64),
-            "subtraj_id": sub,
+            "traj_id": np.full(len(pieces), pdf["traj_id"].iloc[0], dtype=np.int64),
+            "subtraj_id": np.arange(len(pieces), dtype=np.int64),
+            "t_start": t1[starts],
+            "t_end": t2[ends - 1],
+            "seg_lo": pdf["seg_id"].to_numpy(dtype=np.int64)[starts],
+            "n_segs": ends - starts,
+            "sum_vote": [float(v[lo:hi].sum()) for lo, hi in pieces],
+            "mean_vote": [float(v[lo:hi].mean()) for lo, hi in pieces],
+            "ts": polylines("t1", "t2"),
+            "xs": polylines("x1", "x2"),
+            "ys": polylines("y1", "y2"),
         }
     )
 
@@ -128,12 +154,22 @@ def segment_trajectories(
     lam: float = 3.0,
     max_gap: float = 120.0,
 ) -> DataFrame:
-    """NaTS segmentation: voted segments -> (traj_id, seg_id, subtraj_id).
+    """NaTS segmentation: voted segments -> the ``subtrajs`` table.
 
+    ``voted_segments`` holds segments + ``vote`` (from ``core.voting``),
+    with ``seg_id`` contiguous from 0 per trajectory as
+    ``points_to_segments`` numbers them.
     ``min_len`` — minimum sub-trajectory length in segments;
     ``lam`` — BIC penalty multiplier (higher = fewer cuts);
     ``max_gap`` — sampling gap (s) that forces a boundary.
     """
     return voted_segments.groupBy("traj_id").applyInPandas(
-        lambda pdf: _segment_one(pdf, min_len, lam, max_gap), schema=_SCHEMA
+        lambda pdf: _segment_one(pdf, min_len, lam, max_gap), schema=SUBTRAJ_SCHEMA
     )
+
+
+def subtraj_assignment(subtrajs: DataFrame) -> DataFrame:
+    """The (traj_id, seg_id, subtraj_id) mapping of every segment to its
+    sub-trajectory: each ``[seg_lo, seg_lo + n_segs)`` range exploded."""
+    seg_ids = F.sequence("seg_lo", F.col("seg_lo") + F.col("n_segs") - 1)
+    return subtrajs.select("traj_id", F.explode(seg_ids).alias("seg_id"), "subtraj_id")

@@ -1,63 +1,16 @@
-"""Sub-trajectory assembly: segmentation output -> summary + polyline rows.
+"""Driver-side view of the ``subtrajs`` table.
 
 The SaCO phase (sampling, clustering, outliers) and ReTraTree operate on
-*sub-trajectories*, not raw segments.  This module materialises them:
-one row per (traj_id, subtraj_id) carrying the voting summary and the
-polyline as array columns — the representation that is broadcast
-(representatives) or streamed through `mapInPandas` (candidates).
+*sub-trajectories*, not raw segments.  ``core.segmentation`` emits them
+as one row per (traj_id, subtraj_id) with the voting summary and the
+polyline as array columns (``SUBTRAJ_SCHEMA``); this module collects
+that table for the driver-side consumers.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-
-SUBTRAJ_SCHEMA = (
-    "traj_id long, subtraj_id long, t_start double, t_end double, "
-    "n_segs long, sum_vote double, mean_vote double, "
-    "ts array<double>, xs array<double>, ys array<double>"
-)
-
-SUBTRAJ_COLS = [
-    "traj_id", "subtraj_id", "t_start", "t_end",
-    "n_segs", "sum_vote", "mean_vote", "ts", "xs", "ys",
-]
-
-
-def _assemble_one(pdf: pd.DataFrame) -> pd.DataFrame:
-    """One (traj, subtraj) group -> one summary row with its polyline."""
-    pdf = pdf.sort_values("seg_id")
-    ts = np.concatenate([pdf["t1"].to_numpy()[:1], pdf["t2"].to_numpy()])
-    xs = np.concatenate([pdf["x1"].to_numpy()[:1], pdf["x2"].to_numpy()])
-    ys = np.concatenate([pdf["y1"].to_numpy()[:1], pdf["y2"].to_numpy()])
-    v = pdf["vote"].to_numpy(dtype=np.float64)
-    return pd.DataFrame(
-        {
-            "traj_id": [np.int64(pdf["traj_id"].iloc[0])],
-            "subtraj_id": [np.int64(pdf["subtraj_id"].iloc[0])],
-            "t_start": [float(ts[0])],
-            "t_end": [float(ts[-1])],
-            "n_segs": [np.int64(len(pdf))],
-            "sum_vote": [float(v.sum())],
-            "mean_vote": [float(v.mean())],
-            "ts": [ts.tolist()],
-            "xs": [xs.tolist()],
-            "ys": [ys.tolist()],
-        }
-    )
-
-
-def build_subtrajs(voted_segments: DataFrame, assignment: DataFrame) -> DataFrame:
-    """Join votes with the segmentation mapping and assemble polylines.
-
-    ``voted_segments``: segments + ``vote`` (from ``core.voting``);
-    ``assignment``: (traj_id, seg_id, subtraj_id) from ``core.segmentation``.
-    Returns the canonical ``subtrajs`` DataFrame (see SUBTRAJ_SCHEMA).
-    """
-    joined = voted_segments.join(assignment, ["traj_id", "seg_id"])
-    return joined.groupBy("traj_id", "subtraj_id").applyInPandas(
-        lambda pdf: _assemble_one(pdf), schema=SUBTRAJ_SCHEMA
-    )
 
 
 def subtrajs_to_pandas(subtrajs: DataFrame) -> pd.DataFrame:

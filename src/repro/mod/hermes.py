@@ -22,14 +22,14 @@ temp views; tests oracle-check the operands against DuckDB SQL.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.qut import QuTResult, qut_clustering
 from repro.mod.model import points_to_segments
-from repro.retratree.tree import QuTResult, ReTraTree
+from repro.retratree.tree import ReTraTree
 
 _QUT_RE = re.compile(
     r"^\s*select\s+qut\s*\(\s*'?(?P<d>\w+)'?\s*,\s*(?P<args>[^)]*)\)\s*;?\s*$",
@@ -110,15 +110,10 @@ class Hermes:
                 "QUT expects 8 arguments: D, Wi, We, tau, delta, t, d, gamma"
             )
         wi, we, tau, delta, t_min, d_merge, gamma = (float(a) for a in args)
-        tree = self.trees[dataset]
-        tree.tau = int(tau)
-        qparams = replace(
-            tree.params,
-            eps=delta,
-            min_duration=t_min,
-            min_cluster_size=int(gamma),
+        return qut_clustering(
+            self.trees[dataset], wi, we,
+            tau=tau, delta=delta, t=t_min, d=d_merge, gamma=gamma,
         )
-        return tree.qut(wi, we, d_merge=d_merge, params=qparams)
 
 
 def qut_rows_to_df(spark: SparkSession, result: QuTResult) -> DataFrame:

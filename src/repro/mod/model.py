@@ -18,9 +18,11 @@ Schemas
     ``seg_id`` (0-based).  This is the unit of the voting phase: a 3D
     line segment in (x, y, t).
 
-``subtrajs``:  traj_id, subtraj_id, seg_id
-    Segmentation output — the mapping from a trajectory's segments to
-    its sub-trajectories (0-based per trajectory, temporally ordered).
+``assignment``:  traj_id, seg_id, subtraj_id
+    The mapping from a trajectory's segments to its sub-trajectories
+    (0-based per trajectory, temporally ordered), expanded from the
+    segment ranges of the ``subtrajs`` table that segmentation emits
+    (``repro.core.segmentation``).
 """
 from __future__ import annotations
 
@@ -92,11 +94,6 @@ def temporal_range(points: DataFrame, t_start: float, t_end: float) -> DataFrame
     return points.where((F.col("t") >= F.lit(t_start)) & (F.col("t") <= F.lit(t_end)))
 
 
-def clip_points_to_window(points: DataFrame, t_start: float, t_end: float) -> DataFrame:
-    """Alias of :func:`temporal_range` kept for call-site readability."""
-    return temporal_range(points, t_start, t_end)
-
-
 def collect_polylines(points: DataFrame) -> pd.DataFrame:
     """Collect per-trajectory polylines to the driver.
 
@@ -125,14 +122,14 @@ def collect_polylines(points: DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["traj_id", "ts", "xs", "ys"])
 
 
-def subtraj_points(points: DataFrame, segments: DataFrame, subtrajs: DataFrame) -> DataFrame:
+def subtraj_points(points: DataFrame, segments: DataFrame, assignment: DataFrame) -> DataFrame:
     """Attach sub-trajectory ids to points.
 
     A point belongs to the sub-trajectory of the segment it *starts*
     (the last point of a trajectory inherits its last segment's
     sub-trajectory).  Returns ``points`` columns + ``subtraj_id``.
     """
-    seg_sub = segments.join(subtrajs, ["traj_id", "seg_id"]).select(
+    seg_sub = segments.join(assignment, ["traj_id", "seg_id"]).select(
         "traj_id", "seg_id", "t1", "subtraj_id"
     )
     # start-point match

@@ -207,20 +207,34 @@ class ReTraTree:
             )
         return self.chunks[cid]
 
-    def _members_from_result(self, res: S2TResult) -> pd.DataFrame:
+    def _members_from_result(
+        self, res: S2TResult, id_map: dict[int, int] | None = None
+    ) -> pd.DataFrame:
+        """Sub-trajectories of ``res`` with their ``cluster_id``; ``id_map``
+        maps synthetic traj_ids back (see ``_members_to_points``)."""
         sub = subtrajs_to_pandas(res.subtrajs)
         assign = res.clusters.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
-        return sub.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
+        members = sub.merge(assign, on=["traj_id", "subtraj_id"], how="left").fillna(
             {"cluster_id": -1}
         )
+        if id_map is not None:
+            members["traj_id"] = members["traj_id"].map(id_map)
+        return members
 
     def _cluster_chunk(self, cid: int, cpts: DataFrame) -> None:
         """Run S2T on one chunk's points and archive the outcome."""
-        entry = self._chunk_entry(cid)
+        self._chunk_entry(cid)
         if cpts.limit(1).count() == 0:
             return
-        res = s2t_clustering(cpts, self.params)
-        members = self._members_from_result(res)
+        self._archive(cid, cpts)
+
+    def _archive(self, cid: int, pts: DataFrame, id_map: dict[int, int] | None = None) -> None:
+        """Run S2T on ``pts`` and archive the outcome into chunk ``cid``:
+        each new representative with members gets a level-3 entry and a
+        partition, and the residue replaces the outlier partition."""
+        entry = self.chunks[cid]
+        res = s2t_clustering(pts, self.params)
+        members = self._members_from_result(res, id_map)
         base_idx = len(entry.reps)
         for r in res.reps:
             mine = members[members["cluster_id"] == r.rep_id]
@@ -232,9 +246,9 @@ class ReTraTree:
             )
             self.store.write(cid, rep.partition, mine[MEMBER_COLS])
             entry.reps.append(rep)
-        outl = members[members["cluster_id"] == -1]
-        self.store.write(cid, OUTLIER_PARTITION, outl[MEMBER_COLS])
-        entry.outlier_count = len(outl)
+        residue = members[members["cluster_id"] == -1]
+        self.store.write(cid, OUTLIER_PARTITION, residue[MEMBER_COLS])
+        entry.outlier_count = len(residue)
         res.unpersist()
 
     # ----------------------------------------------------------------- insert
@@ -290,29 +304,10 @@ class ReTraTree:
     def _recluster_outliers(self, cid: int) -> None:
         """S2T over a chunk's outlier partition; new representatives are
         back-propagated, their members archived, residue stays outlier."""
-        entry = self.chunks[cid]
         outl = self.store.read(cid, OUTLIER_PARTITION)
         if len(outl) < 2:
             return
-        pts, id_map = _members_to_points(self.spark, outl)
-        res = s2t_clustering(pts, self.params)
-        members = self._members_from_result(res)
-        members["traj_id"] = members["traj_id"].map(id_map)
-        base_idx = len(entry.reps)
-        for r in res.reps:
-            mine = members[members["cluster_id"] == r.rep_id]
-            if len(mine) == 0:
-                continue
-            rep = RepEntry(
-                chunk_id=cid, rep_idx=base_idx + r.rep_id,
-                ts=r.ts, xs=r.xs, ys=r.ys, score=r.score, n_members=len(mine),
-            )
-            self.store.write(cid, rep.partition, mine[MEMBER_COLS])
-            entry.reps.append(rep)
-        residue = members[members["cluster_id"] == -1]
-        self.store.write(cid, OUTLIER_PARTITION, residue[MEMBER_COLS])
-        entry.outlier_count = len(residue)
-        res.unpersist()
+        self._archive(cid, *_members_to_points(self.spark, outl))
 
     # -------------------------------------------------------------------- qut
     def qut(
@@ -377,8 +372,7 @@ class ReTraTree:
             allslab = pd.concat(slabs, ignore_index=True)
             pts, id_map = _members_to_points(self.spark, allslab)
             res = s2t_clustering(pts, qparams)
-            members = self._members_from_result(res)
-            members["traj_id"] = members["traj_id"].map(id_map)
+            members = self._members_from_result(res, id_map)
             members["cluster"] = [
                 f"b:rep-{int(k)}" if k >= 0 else OUTLIER_KEY
                 for k in members["cluster_id"]

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core.segmentation import subtraj_assignment
 from repro.mod.model import (
     SEGMENT_COLS,
     collect_polylines,
@@ -95,12 +97,14 @@ def test_collect_polylines_sorted_and_complete(mod_points, mod_pdf):
 
 
 def test_subtraj_points_covers_all_points(spark, mod_points, segments):
-    """With a trivial all-zero segmentation every point must land in
+    """With a trivial one-piece segmentation every point must land in
     sub-trajectory 0."""
-    assignment = segments.selectExpr(
-        "traj_id", "seg_id", "CAST(0 AS LONG) AS subtraj_id"
+    one_piece = segments.groupBy("traj_id").agg(
+        F.lit(0).cast("long").alias("subtraj_id"),
+        F.min("seg_id").alias("seg_lo"),
+        F.count(F.lit(1)).alias("n_segs"),
     )
-    pts = subtraj_points(mod_points, segments, assignment)
+    pts = subtraj_points(mod_points, segments, subtraj_assignment(one_piece))
     assert pts.count() == mod_points.count()
     assert pts.where("subtraj_id IS NULL").count() == 0
     assert pts.where("subtraj_id != 0").count() == 0

@@ -1,6 +1,5 @@
 """Sanity of the provided substrate: the DuckDB oracle catches wrong
-results, and the TPC-H-lite + trajectory generators are deterministic
-and well-typed."""
+results, and the trajectory generator is deterministic and well-typed."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,55 +12,32 @@ from repro.oracle import assert_equivalent
 
 
 # ------------------------------------------------------------------- oracle
-def test_oracle_accepts_identical_aggregation(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("qty"), F.count(F.lit(1)).alias("n")
-    )
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, sum(l_quantity) AS qty, count(*) AS n "
-        "FROM li GROUP BY l_returnflag",
-        li=li,
-    )
+_PER_TRAJ_SQL = (
+    "SELECT traj_id, count(*) AS n, max(t) AS t_max FROM pts GROUP BY traj_id"
+)
 
 
-def test_oracle_rejects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg((F.sum("l_quantity") + 1).alias("qty"))
+def test_oracle_accepts_identical_aggregation(mod_points):
+    got = mod_points.groupBy("traj_id").agg(
+        F.count(F.lit(1)).alias("n"), F.max("t").alias("t_max")
+    )
+    assert_equivalent(got, _PER_TRAJ_SQL, pts=mod_points)
+
+
+def test_oracle_rejects_wrong_result(mod_points):
+    wrong = mod_points.groupBy("traj_id").agg(
+        (F.count(F.lit(1)) + 1).alias("n"), F.max("t").alias("t_max")
+    )
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, sum(l_quantity) AS qty FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, _PER_TRAJ_SQL, pts=mod_points)
 
 
-def test_oracle_rejects_column_mismatch(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(F.sum("l_quantity").alias("quantity"))
+def test_oracle_rejects_column_mismatch(mod_points):
+    got = mod_points.groupBy("traj_id").agg(
+        F.count(F.lit(1)).alias("n_points"), F.max("t").alias("t_max")
+    )
     with pytest.raises(AssertionError, match="column mismatch"):
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, sum(l_quantity) AS qty FROM li GROUP BY l_returnflag",
-            li=li,
-        )
-
-
-@pytest.mark.parametrize("gen", ["lineitem", "orders", "customer", "part"])
-def test_tpch_lite_deterministic(spark, gen):
-    fn = getattr(synth_data, gen)
-    a = fn(spark, sf=0.001).toPandas()
-    b = fn(spark, sf=0.001).toPandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
-@pytest.mark.parametrize("n_keys,alpha", [(10, 1.1), (100, 1.5)])
-def test_zipf_keys_skewed(spark, n_keys, alpha):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=n_keys, alpha=alpha).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.index[0] == 1  # rank-1 key is the most frequent
-    assert counts.iloc[0] > counts.iloc[-1]
+        assert_equivalent(got, _PER_TRAJ_SQL, pts=mod_points)
 
 
 # ------------------------------------------------------- trajectory generator

@@ -1,6 +1,6 @@
 """NaTS segmentation: change-point recovery on the voting signal,
 penalty/min-length semantics, forced gap boundaries, Spark-level
-structural invariants."""
+structural invariants of the emitted sub-trajectory rows."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,7 +8,11 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.segmentation import segment_signal, segment_trajectories
+from repro.core.segmentation import (
+    segment_signal,
+    segment_trajectories,
+    subtraj_assignment,
+)
 from repro.core.voting import vote_segments
 from repro.mod.model import make_points_df, points_to_segments
 
@@ -70,7 +74,20 @@ def test_empty_signal():
 
 
 # ------------------------------------------------------------ spark level
-def _toy_voted(spark, votes, gap_at=None, gap=1000.0):
+@pytest.fixture(scope="module")
+def subtrajs(voted):
+    df = segment_trajectories(voted).cache()
+    df.count()
+    yield df
+    df.unpersist()
+
+
+@pytest.fixture(scope="module")
+def assignment(subtrajs):
+    return subtraj_assignment(subtrajs)
+
+
+def _toy_voted(spark, votes, gap_at=None, gap=1000.0, traj_id=1):
     """Build a single-trajectory voted-segments frame with a given vote
     signal and (optionally) a temporal gap before segment ``gap_at``."""
     n = len(votes)
@@ -79,7 +96,7 @@ def _toy_voted(spark, votes, gap_at=None, gap=1000.0):
         t1[gap_at:] += gap
     pdf = pd.DataFrame(
         {
-            "traj_id": np.int64(1),
+            "traj_id": np.int64(traj_id),
             "seg_id": np.arange(n, dtype=np.int64),
             "t1": t1,
             "x1": np.arange(n, dtype=float),
@@ -96,13 +113,36 @@ def _toy_voted(spark, votes, gap_at=None, gap=1000.0):
 def test_forced_gap_boundary(spark):
     voted = _toy_voted(spark, np.zeros(20), gap_at=10)
     out = (
-        segment_trajectories(voted, min_len=4, lam=3.0, max_gap=120.0)
+        subtraj_assignment(segment_trajectories(voted, min_len=4, lam=3.0, max_gap=120.0))
         .toPandas()
         .sort_values("seg_id")
     )
     assert out["subtraj_id"].nunique() == 2
     assert (out[out.seg_id < 10]["subtraj_id"] == 0).all()
     assert (out[out.seg_id >= 10]["subtraj_id"] == 1).all()
+
+
+def test_single_segment_and_gap_split_rows(spark):
+    """A one-segment trajectory is one sub-trajectory with a 2-point
+    polyline; the segment ranges of a gap-split trajectory tile its
+    segments 0..n-1 with no gap or overlap."""
+    voted = _toy_voted(spark, [3.0], traj_id=7).unionByName(
+        _toy_voted(spark, np.zeros(20), gap_at=10)
+    )
+    out = segment_trajectories(voted, min_len=4, lam=3.0, max_gap=120.0).toPandas()
+    one = out[out.traj_id == 7]
+    assert len(one) == 1
+    r = one.iloc[0]
+    assert (r.subtraj_id, r.seg_lo, r.n_segs, r.sum_vote) == (0, 0, 1, 3.0)
+    assert list(r["ts"]) == [0.0, 10.0] and list(r["xs"]) == [0.0, 1.0]
+    assert (r.t_start, r.t_end) == (0.0, 10.0)
+    split = out[out.traj_id == 1].sort_values("subtraj_id")
+    assert list(split.subtraj_id) == [0, 1]
+    covered = np.concatenate(
+        [np.arange(lo, lo + k) for lo, k in zip(split.seg_lo, split.n_segs)]
+    )
+    assert covered.tolist() == list(range(20))
+    assert list(split.t_start) == [0.0, 1100.0] and list(split.t_end) == [100.0, 1200.0]
 
 
 def test_no_gap_no_split_flat(spark):
@@ -117,16 +157,14 @@ def test_vote_step_splits(spark):
     assert out["subtraj_id"].nunique() == 2
 
 
-def test_assignment_covers_every_segment(voted):
-    assignment = segment_trajectories(voted)
+def test_assignment_covers_every_segment(voted, assignment):
     assert assignment.count() == voted.count()
     assert assignment.where("subtraj_id IS NULL").count() == 0
 
 
-def test_subtraj_ids_contiguous_from_zero(voted):
-    assignment = segment_trajectories(voted)
+def test_subtraj_ids_contiguous_from_zero(subtrajs):
     stats = (
-        assignment.groupBy("traj_id")
+        subtrajs.groupBy("traj_id")
         .agg(
             F.min("subtraj_id").alias("lo"),
             F.max("subtraj_id").alias("hi"),
@@ -138,8 +176,7 @@ def test_subtraj_ids_contiguous_from_zero(voted):
     assert (stats["k"] == stats["hi"] + 1).all()
 
 
-def test_subtraj_ids_temporally_ordered(voted):
-    assignment = segment_trajectories(voted)
+def test_subtraj_ids_temporally_ordered(voted, assignment):
     j = voted.select("traj_id", "seg_id", "t1").join(
         assignment, ["traj_id", "seg_id"]
     )
@@ -148,16 +185,15 @@ def test_subtraj_ids_temporally_ordered(voted):
         assert (np.diff(g["subtraj_id"].to_numpy()) >= 0).all()
 
 
-def test_multi_leg_objects_get_segmented(mod_points, mod_pdf, voted):
+def test_multi_leg_objects_get_segmented(mod_points, mod_pdf, subtrajs):
     """Objects planted with two group legs must end up with >= 2
     sub-trajectories (the structural reason segmentation exists)."""
     per_traj = mod_pdf[mod_pdf.gt_label >= 0].groupby("traj_id")["gt_label"].nunique()
     multi = set(per_traj[per_traj >= 2].index)
     if not multi:
         pytest.skip("no multi-leg objects at this seed")
-    assignment = segment_trajectories(voted)
     counts = (
-        assignment.groupBy("traj_id")
+        subtrajs.groupBy("traj_id")
         .agg(F.countDistinct("subtraj_id").alias("k"))
         .toPandas()
         .set_index("traj_id")["k"]

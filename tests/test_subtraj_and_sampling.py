@@ -7,14 +7,13 @@ import pandas as pd
 import pytest
 
 from repro.core.sampling import Representative, reps_to_pandas, sample_representatives
-from repro.core.segmentation import segment_trajectories
-from repro.core.subtraj import build_subtrajs, subtrajs_to_pandas
+from repro.core.segmentation import segment_trajectories, subtraj_assignment
+from repro.core.subtraj import subtrajs_to_pandas
 
 
 @pytest.fixture(scope="module")
 def subtrajs(voted):
-    assignment = segment_trajectories(voted)
-    df = build_subtrajs(voted, assignment).cache()
+    df = segment_trajectories(voted).cache()
     df.count()
     yield df
     df.unpersist()
@@ -26,9 +25,8 @@ def sub_pdf(subtrajs):
 
 
 # ------------------------------------------------------------ assembly
-def test_one_row_per_subtraj(subtrajs, voted):
-    assignment = segment_trajectories(voted)
-    expected = assignment.select("traj_id", "subtraj_id").distinct().count()
+def test_one_row_per_subtraj(subtrajs):
+    expected = subtraj_assignment(subtrajs).select("traj_id", "subtraj_id").distinct().count()
     assert subtrajs.count() == expected
 
 
