@@ -1,9 +1,12 @@
 """S2T-Clustering — the two-phase pipeline of the paper (§II.A).
 
 Phase 1, NaTS: voting (``core.voting``) then segmentation
-(``core.segmentation``), which emits the sub-trajectories.  Phase 2,
-SaCO: sampling (``core.sampling``), greedy clustering with outlier
-isolation (``core.clustering``).
+(``core.segmentation``), which emits the sub-trajectories; both run in
+Spark.  Phase 2, SaCO: sampling (``core.sampling``), greedy clustering
+with outlier isolation (``core.clustering``); both run on the driver
+over the sub-trajectory table collected once, which is orders of
+magnitude smaller than the point data, and the assignment comes back to
+Spark as the ``clusters`` DataFrame.
 
 :func:`s2t_clustering` orchestrates the phases over a points DataFrame,
 caching and forcing each intermediate so per-phase wall times are real
@@ -122,13 +125,16 @@ def s2t_clustering(points: DataFrame, params: S2TParams | None = None) -> S2TRes
     timings["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    clusters = assign_clusters(
-        subtrajs,
+    assigned = assign_clusters(
+        sub_pdf,
         reps,
         eps=p.eps_eff,
         min_cluster_size=p.min_cluster_size,
         n_samples=p.n_samples,
         min_overlap=p.min_overlap,
+    )
+    clusters = subtrajs.sparkSession.createDataFrame(
+        assigned, "traj_id long, subtraj_id long, cluster_id long, dist double"
     ).cache()
     clusters.count()
     timings["clustering"] = time.perf_counter() - t0

@@ -119,7 +119,7 @@ def sample_representatives(
 
 
 def reps_to_pandas(reps: list[Representative]) -> pd.DataFrame:
-    """Representatives as a plain frame (for Spark broadcast / reporting)."""
+    """Representatives as a plain frame (for reporting)."""
     return pd.DataFrame(
         {
             "rep_id": [r.rep_id for r in reps],

@@ -24,11 +24,10 @@ parallel, as the calibration hint prescribes):
 Output: the ``subtrajs`` table (``SUBTRAJ_SCHEMA``), one row per
 (traj_id, subtraj_id) with sub-trajectory ids 0-based and temporally
 ordered per trajectory.  Each row carries its voting summary, its
-polyline as array columns (the representation that SaCO broadcasts as
-representatives or streams through ``mapInPandas`` as candidates), and
-its segment range ``[seg_lo, seg_lo + n_segs)``; :func:`subtraj_assignment`
-expands the ranges to the per-segment (traj_id, seg_id, subtraj_id)
-mapping.
+polyline as array columns (what SaCO collects to the driver for
+sampling and clustering), and its segment range
+``[seg_lo, seg_lo + n_segs)``; :func:`subtraj_assignment` expands the
+ranges to the per-segment (traj_id, seg_id, subtraj_id) mapping.
 """
 from __future__ import annotations
 

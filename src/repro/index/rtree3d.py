@@ -91,8 +91,9 @@ def str_order(boxes: np.ndarray, leaf_size: int) -> np.ndarray:
 class Rtree3D:
     """The pg3D-Rtree: a thin trajectory-flavoured wrapper over GiST.
 
-    ``bulk_load`` STR-packs boxes (the post-S2T partition indexing path);
-    ``insert`` routes single boxes (the ReTraTree incremental path);
+    ``bulk_load`` STR-packs boxes (the partition indexing path, also
+    taken by every ``PartitionStore.append``, which rebuilds the tree);
+    ``insert`` routes single boxes (only tests call it);
     ``query_box`` returns payload ids of boxes overlapping the query.
     Instances pickle (entries are dumped and re-bulk-loaded), which is
     how level-4 partitions persist their index beside the Parquet data.

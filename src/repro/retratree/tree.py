@@ -42,7 +42,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.distance import sync_distance_to_many
+from repro.core.clustering import nearest_representative
 from repro.core.s2t import S2TParams, S2TResult, s2t_clustering
 from repro.core.subtraj import subtrajs_to_pandas
 from repro.mod.model import make_points_df
@@ -162,7 +162,6 @@ class ReTraTree:
         self.tau = int(tau)
         self.n_subchunks = int(n_subchunks)
         self.chunks: dict[int, ChunkEntry] = {}
-        self.build_timings: dict[str, float] = {}
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -189,12 +188,10 @@ class ReTraTree:
         t_min, t_max = points.selectExpr("min(t)", "max(t)").first()
         first = int(np.floor(t_min / chunk_width))
         last = int(np.floor((t_max - 1e-9) / chunk_width))
-        t0 = time.perf_counter()
         for cid in range(first, last + 1):
             lo, hi = cid * chunk_width, (cid + 1) * chunk_width
             cpts = points.where((points.t >= lo) & (points.t < hi))
             tree._cluster_chunk(cid, cpts)
-        tree.build_timings["build"] = time.perf_counter() - t0
         return tree
 
     def _chunk_entry(self, cid: int) -> ChunkEntry:
@@ -278,19 +275,17 @@ class ReTraTree:
                 "t_start": [float(ts[0])], "t_end": [float(ts[-1])],
                 "sum_vote": [0.0], "ts": [ts], "xs": [xs], "ys": [ys],
             })
-            reps = entry.reps
-            if reps:
-                d = sync_distance_to_many(
-                    ts, xs, ys, [(r.ts, r.xs, r.ys) for r in reps],
-                    n_samples=self.params.n_samples,
-                    min_overlap=self.params.min_overlap,
-                )
-                j = int(np.argmin(d))
-                if np.isfinite(d[j]) and d[j] <= self.params.eps_eff:
-                    self.store.append(int(cid), reps[j].partition, row)
-                    reps[j].n_members += 1
-                    stats["assigned"] += 1
-                    continue
+            j, _ = nearest_representative(
+                ts, xs, ys, [(r.ts, r.xs, r.ys) for r in entry.reps],
+                eps=self.params.eps_eff,
+                n_samples=self.params.n_samples,
+                min_overlap=self.params.min_overlap,
+            )
+            if j >= 0:
+                self.store.append(int(cid), entry.reps[j].partition, row)
+                entry.reps[j].n_members += 1
+                stats["assigned"] += 1
+                continue
             self.store.append(int(cid), OUTLIER_PARTITION, row)
             entry.outlier_count += 1
             stats["outliers"] += 1

@@ -7,7 +7,12 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.clustering import OUTLIER, assign_clusters, cluster_sizes
+from repro.core.clustering import (
+    OUTLIER,
+    assign_clusters,
+    cluster_sizes,
+    nearest_representative,
+)
 from repro.core.distance import sync_distance_to_many
 from repro.core.sampling import Representative
 from repro.core.segmentation import segment_trajectories
@@ -42,8 +47,7 @@ def test_assignment_matches_bruteforce(subtrajs):
     t_lo, t_hi = pdf["t_start"].min(), pdf["t_end"].max()
     reps = [_mk_rep(0, t_lo, t_hi, 40.0), _mk_rep(1, t_lo, t_hi, 60.0)]
     got = (
-        assign_clusters(subtrajs, reps, eps=50.0)
-        .toPandas()
+        assign_clusters(pdf, reps, eps=50.0)
         .sort_values(["traj_id", "subtraj_id"])
         .reset_index(drop=True)
     )
@@ -61,7 +65,7 @@ def test_assignment_matches_bruteforce(subtrajs):
 
 
 def test_no_reps_all_outliers(subtrajs):
-    got = assign_clusters(subtrajs, [], eps=1.0).toPandas()
+    got = assign_clusters(subtrajs_to_pandas(subtrajs), [], eps=1.0)
     assert (got["cluster_id"] == OUTLIER).all()
     assert np.isinf(got["dist"]).all()
 
@@ -69,7 +73,7 @@ def test_no_reps_all_outliers(subtrajs):
 def test_eps_respected(subtrajs):
     pdf = subtrajs_to_pandas(subtrajs)
     reps = [_mk_rep(0, pdf["t_start"].min(), pdf["t_end"].max(), 0.0)]
-    got = assign_clusters(subtrajs, reps, eps=0.001).toPandas()
+    got = assign_clusters(pdf, reps, eps=0.001)
     clustered = got[got.cluster_id != OUTLIER]
     assert (clustered["dist"] <= 0.001).all()
 
@@ -77,24 +81,56 @@ def test_eps_respected(subtrajs):
 def test_min_cluster_size_dissolves(subtrajs):
     pdf = subtrajs_to_pandas(subtrajs)
     reps = [_mk_rep(0, pdf["t_start"].min(), pdf["t_end"].max(), 50.0)]
-    loose = assign_clusters(subtrajs, reps, eps=100.0, min_cluster_size=1).toPandas()
+    loose = assign_clusters(pdf, reps, eps=100.0, min_cluster_size=1)
     n_members = (loose["cluster_id"] == 0).sum()
     strict = assign_clusters(
-        subtrajs, reps, eps=100.0, min_cluster_size=int(n_members) + 1
-    ).toPandas()
+        pdf, reps, eps=100.0, min_cluster_size=int(n_members) + 1
+    )
     assert (strict["cluster_id"] == OUTLIER).all()
 
 
-def test_cluster_sizes_matches_sql(subtrajs):
+def test_cluster_sizes_matches_sql(spark, subtrajs):
     pdf = subtrajs_to_pandas(subtrajs)
     reps = [_mk_rep(0, pdf["t_start"].min(), pdf["t_end"].max(), 50.0)]
-    assigned = assign_clusters(subtrajs, reps, eps=100.0)
-    apdf = assigned.toPandas()[["traj_id", "subtraj_id", "cluster_id"]]
+    apdf = assign_clusters(pdf, reps, eps=100.0)
+    assigned = spark.createDataFrame(apdf)
     assert_equivalent(
         cluster_sizes(assigned),
         "SELECT cluster_id, count(*) AS n FROM a GROUP BY cluster_id",
-        a=apdf,
+        a=apdf[["traj_id", "subtraj_id", "cluster_id"]],
     )
+
+
+def test_no_temporal_overlap_never_assigned(subtrajs):
+    """A representative that never co-exists with a piece is infinitely
+    far from it: no radius, not even eps = inf, assigns the piece."""
+    pdf = subtrajs_to_pandas(subtrajs)
+    t_hi = pdf["t_end"].max()
+    reps = [_mk_rep(0, t_hi + 10.0, t_hi + 100.0, 50.0)]
+    got = assign_clusters(pdf, reps, eps=float("inf"))
+    assert len(got) == len(pdf)
+    assert (got["cluster_id"] == OUTLIER).all()
+    assert np.isinf(got["dist"]).all()
+
+
+def test_nearest_representative_without_reps():
+    ts = np.array([0.0, 10.0])
+    xy = np.array([0.0, 1.0])
+    for eps in (1.0, float("inf")):
+        assert nearest_representative(
+            ts, xy, xy, [], eps=eps, n_samples=32, min_overlap=0.0
+        ) == (OUTLIER, float("inf"))
+
+
+def test_s2t_clusters_one_row_per_subtraj(s2t_result):
+    clusters = s2t_result.clusters
+    assert clusters.schema.simpleString() == (
+        "struct<traj_id:bigint,subtraj_id:bigint,cluster_id:bigint,dist:double>"
+    )
+    cl = clusters.select("traj_id", "subtraj_id").toPandas()
+    sub = s2t_result.subtrajs.select("traj_id", "subtraj_id").toPandas()
+    assert not cl.duplicated().any()
+    assert len(cl) == len(sub) == len(sub.merge(cl, on=["traj_id", "subtraj_id"]))
 
 
 # ---------------------------------------------------------------- metrics

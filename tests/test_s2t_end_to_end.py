@@ -4,11 +4,13 @@ report honest per-phase timings."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.core.s2t import S2TParams, point_labels, s2t_clustering
 from repro.eval.quality import evaluate_point_labels
+from repro.mod.model import make_points_df
 
 
 def _metrics(spark, sf, seed, **gen_overrides):
@@ -76,6 +78,21 @@ def test_reps_are_members_of_their_clusters(s2t_result):
 def test_cluster_ids_within_rep_range(s2t_result):
     ids = {int(v) for v in s2t_result.clusters.select("cluster_id").distinct().toPandas()["cluster_id"]}
     assert ids <= set(range(len(s2t_result.reps))) | {-1}
+
+
+def test_single_sample_trajectories_all_outliers(spark):
+    """No trajectory has a segment: no sub-trajectories, no cluster rows,
+    and every point is labelled an outlier."""
+    pdf = pd.DataFrame({"obj_id": [0, 1, 2], "traj_id": [0, 1, 2],
+                        "t": [0.0, 10.0, 20.0], "x": [0.0, 1.0, 2.0], "y": [0.0, 0.0, 0.0]})
+    pts = make_points_df(spark, pdf)
+    res = s2t_clustering(pts, S2TParams(sigma=1.0))
+    assert res.subtrajs.count() == 0
+    assert res.reps == []
+    assert res.clusters.count() == 0
+    lab = point_labels(pts, res).select("cluster_id").toPandas()
+    assert len(lab) == 3 and (lab["cluster_id"] == -1).all()
+    res.unpersist()
 
 
 def test_eps_eff_default():
