@@ -14,11 +14,11 @@ def test_bench_table_c_s2t_scalability(spark, benchmark):
     )
     assert (df["n_points"].diff().dropna() > 0).all()
     big = df.iloc[-1]
-    # sampling operates on the tiny sub-trajectory summary level and
-    # must stay negligible (the paper's SaCO design rationale)
-    assert big["sampling_s"] == min(
-        big["voting_s"], big["segmentation_s"], big["sampling_s"], big["clustering_s"]
-    )
+    # sampling and clustering operate on the tiny sub-trajectory summary
+    # level and must stay below both point-level NaTS phases (the
+    # paper's SaCO design rationale)
+    saco = max(big["sampling_s"], big["clustering_s"])
+    assert saco < min(big["voting_s"], big["segmentation_s"])
     # graceful scaling: 5x more points must cost far less than 5x
     # (the pg3D-Rtree prunes candidate pairs to actual neighbours)
     warm = df[df.sf >= 0.02]
